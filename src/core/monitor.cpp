@@ -214,7 +214,8 @@ std::vector<transport::TierStats> ClusterMonitor::tier_stats() const {
 std::string ClusterMonitor::topology_stats() const {
   util::TextTable table;
   table.header({"tier", "brokers", "aggs", "depth", "unacked", "dead",
-                "pending", "spooled", "paused", "resumed", "deduped"});
+                "pending", "spooled", "crashes", "paused", "resumed",
+                "deduped"});
   for (const auto& row : tier_stats()) {
     table.row({std::to_string(row.tier), std::to_string(row.brokers),
                std::to_string(row.aggregators),
@@ -222,6 +223,7 @@ std::string ClusterMonitor::topology_stats() const {
                std::to_string(row.dead_letters),
                std::to_string(row.pending_records),
                std::to_string(row.spool_records),
+               std::to_string(row.crashes),
                std::to_string(row.resilience.paused_windows),
                std::to_string(row.resilience.resumed_windows),
                std::to_string(row.resilience.deduped)});

@@ -115,8 +115,9 @@ class ClusterMonitor {
   std::vector<transport::TierStats> tier_stats() const;
 
   /// tier_stats() rendered as one table: queue depth, unacked, dead
-  /// letters, pending/spooled records, and pause/resume transitions per
-  /// tier, so callers stop polling brokers individually.
+  /// letters, pending/spooled records, aggregator crashes, and
+  /// pause/resume transitions per tier, so callers stop polling brokers
+  /// individually.
   std::string topology_stats() const;
 
  private:

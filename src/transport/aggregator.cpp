@@ -22,7 +22,8 @@ Aggregator::Aggregator(std::string name, std::vector<Broker*> children,
       parent_(&parent),
       queue_(std::move(queue)),
       options_(std::move(options)),
-      faults_(std::move(faults)) {
+      faults_(std::move(faults)),
+      inflight_limit_(options_.batch_records * children_.size()) {
   thread_ = std::thread([this] { run(); });
 }
 
@@ -170,13 +171,25 @@ void Aggregator::append_pending(const std::string& host,
                                 util::SimTime window_id,
                                 util::SimTime max_time, std::size_t child,
                                 std::uint64_t tag) {
+  // A crash in any flush below requeues this delivery with the rest, so
+  // it is dropped here and rebuilt from the redelivery.
   auto it = pending_.find(host);
   if (it != pending_.end() && !it->second.seqs.empty() &&
       (it->second.window_id != window_id || it->second.header != header)) {
     // Window rolled over (or the host's schemas changed): close the open
     // frame before starting the next one.
-    flush_host(host);
+    if (!flush_host(host)) return;
     it = pending_.end();
+  }
+  if (inflight_limit_ > 0 &&
+      pending_records_.load() + seqs.size() > inflight_limit_) {
+    // In-flight bound: flush the oldest-opened frames until this delivery
+    // fits, so a crash requeues at most one bound's worth.
+    while (!open_order_.empty() &&
+           pending_records_.load() + seqs.size() > inflight_limit_) {
+      if (!flush_host(open_order_.begin()->second)) return;
+    }
+    it = pending_.find(host);
   }
   if (it == pending_.end()) it = pending_.try_emplace(host).first;
   PendingFrame& p = it->second;
@@ -184,6 +197,8 @@ void Aggregator::append_pending(const std::string& host,
     p.header.assign(header);
     p.window_id = window_id;
     p.max_time = 0;
+    p.opened = ++open_seq_;
+    open_order_.emplace(p.opened, host);
   }
   p.records.append(records);
   p.seqs.insert(p.seqs.end(), seqs.begin(), seqs.end());
@@ -196,11 +211,12 @@ void Aggregator::append_pending(const std::string& host,
   }
 }
 
-void Aggregator::flush_host(std::string host) {
+bool Aggregator::flush_host(std::string host) {
   const auto it = pending_.find(host);
-  if (it == pending_.end() || it->second.seqs.empty()) return;
+  if (it == pending_.end() || it->second.seqs.empty()) return true;
   PendingFrame p = std::move(it->second);
   pending_.erase(it);
+  open_order_.erase(p.opened);
   pending_records_.fetch_sub(p.seqs.size());
 
   AggFrame f;
@@ -228,15 +244,15 @@ void Aggregator::flush_host(std::string host) {
         // Crash after the upward publish, before acking the children: the
         // frame is safe upstream, the children redeliver everything
         // unacked, and the root's per-record dedup absorbs the overlap.
-        crash_recover(p.acks.size());
-        return;
+        crash_recover();
+        return false;
       }
     }
     for (const auto& [c, tag] : p.acks) children_[c]->ack(queue_, tag);
     util::MutexLock lock(mu_);
     ++stats_.frames_out;
     stats_.records_out += n;
-    return;
+    return true;
   }
   // Retries exhausted (or queued behind the spool): take ownership of the
   // records — ack the children — and park the frame locally for replay.
@@ -249,6 +265,7 @@ void Aggregator::flush_host(std::string host) {
     stats_.resilience.spooled += n;
   }
   enforce_spool_limit();
+  return true;
 }
 
 void Aggregator::flush_all() {
@@ -345,20 +362,18 @@ bool Aggregator::try_publish(const std::string& routing_key,
   return false;
 }
 
-void Aggregator::crash_recover(std::size_t extra_unacked) {
-  std::size_t requeued = extra_unacked;
+void Aggregator::crash_recover() {
   std::size_t lost = 0;
-  for (const auto& [host, p] : pending_) {
-    requeued += p.acks.size();
-    lost += p.seqs.size();
-  }
+  for (const auto& [host, p] : pending_) lost += p.seqs.size();
   pending_.clear();
+  open_order_.clear();
   pending_records_.fetch_sub(lost);
   // A restarted aggregator reclaims nothing in memory; the children
   // requeue every unacked delivery (in order) and the pending frames
   // rebuild from the redeliveries. The spool is the node-local durable
   // store and survives, like the daemon's.
-  for (Broker* c : children_) c->recover(queue_);
+  std::size_t requeued = 0;
+  for (Broker* c : children_) requeued += c->recover(queue_);
   util::MutexLock lock(mu_);
   ++stats_.crashes;
   stats_.resilience.requeued += requeued;

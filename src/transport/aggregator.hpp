@@ -13,6 +13,14 @@
 // locally; the spool replays in order ahead of fresh frames, exactly the
 // daemon's spool semantics one tier up.
 //
+// In-flight bound: open frames hold at most batch_records x children
+// records (256 for the default tree). A delivery that would overflow it
+// first flushes the oldest-opened frames, so a crash requeues at most one
+// bound's worth of deliveries plus the one in hand, however deep the
+// backlog behind the children. Each flushed frame then costs about
+// crash rate x bound / frame size requeues; keep that below 1 for recovery
+// work smaller than the work it recovers.
+//
 // Backpressure: while the parent queue is Paused (watermarks, see
 // Broker::set_watermarks) the aggregator stops pulling from its children —
 // their queues fill, trip their own watermarks, and the daemons below spool
@@ -92,7 +100,8 @@ class Aggregator {
            idle_sweeps_.load() >= 2;
   }
 
-  /// Records buffered in not-yet-flushed pending frames.
+  /// Records buffered in not-yet-flushed pending frames: at most
+  /// batch_records x children, unless one arriving frame alone is larger.
   std::size_t pending_records() const noexcept {
     return pending_records_.load();
   }
@@ -114,6 +123,7 @@ class Aggregator {
     std::vector<std::pair<std::size_t, std::uint64_t>> acks;
     util::SimTime window_id = 0;
     util::SimTime max_time = 0;
+    std::uint64_t opened = 0;  // key in open_order_
   };
   /// A frame (or verbatim message) awaiting replay after exhausted retries.
   struct SpooledFrame {
@@ -136,8 +146,10 @@ class Aggregator {
                       std::size_t child, std::uint64_t tag);
   /// Flushes one host's pending frame upward (publish or spool). Takes
   /// the key by value: it erases the host's pending_ node, so a caller's
-  /// reference into that map would dangle.
-  void flush_host(std::string host);
+  /// reference into that map would dangle. Returns false if the aggregator
+  /// crashed during the flush: every unacked delivery, including one the
+  /// caller holds, is then back with the children.
+  bool flush_host(std::string host);
   void flush_all();
   /// Replays spooled frames while the parent accepts them.
   void try_flush_spool();
@@ -149,9 +161,8 @@ class Aggregator {
                    std::uint64_t slot_base);
   /// Simulated aggregator crash: nothing is acked; every child requeues
   /// its unacked deliveries and all pending frames are dropped (they
-  /// rebuild from the redeliveries). `extra_unacked` counts the
-  /// mid-flush frame's own deliveries.
-  void crash_recover(std::size_t extra_unacked);
+  /// rebuild from the redeliveries).
+  void crash_recover();
   /// Ages the oldest spooled frames out of an over-limit spool.
   void enforce_spool_limit();
   void forward_verbatim(std::size_t child, const Message& msg);
@@ -166,9 +177,16 @@ class Aggregator {
   const std::string queue_;
   const AggregatorOptions options_;
   std::shared_ptr<const util::FaultPlan> faults_;
+  /// Most records open frames may hold: batch_records x children
+  /// (0 = unbounded, with batch_records = 0).
+  const std::size_t inflight_limit_;
 
   // Owned by the aggregator thread; no lock needed.
   std::map<std::string, PendingFrame> pending_;
+  /// Open frames by opening order (PendingFrame::opened -> host): the
+  /// front is the oldest, flushed first when the in-flight bound is hit.
+  std::map<std::uint64_t, std::string> open_order_;
+  std::uint64_t open_seq_ = 0;
   std::map<std::string, std::string> header_cache_;  // host -> header bytes
   std::deque<SpooledFrame> spool_;
   std::uint64_t frame_seq_ = 0;

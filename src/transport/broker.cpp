@@ -103,14 +103,24 @@ std::size_t Broker::publish(const std::string& routing_key, std::string body,
       ++stats_.resilience.injected_drops;
       return 0;
     }
+    const int copies = fault.duplicate ? 2 : 1;
+    // The last enqueued copy takes `body` by move; only fan-out to more
+    // queues or an injected duplicate pays for a string copy.
+    int remaining = 0;
+    for (const auto& [queue, pattern] : bindings_) {
+      if (key_matches(pattern, routing_key)) remaining += copies;
+    }
     for (const auto& [queue, pattern] : bindings_) {
       if (!key_matches(pattern, routing_key)) continue;
       QueueState& q = queues_[queue];
-      const int copies = fault.duplicate ? 2 : 1;
       for (int c = 0; c < copies; ++c) {
         Message msg;
         msg.routing_key = routing_key;
-        msg.body = body;  // copy: fan-out to multiple queues
+        if (--remaining == 0) {
+          msg.body = std::move(body);
+        } else {
+          msg.body = body;  // copy: fan-out to multiple queues
+        }
         msg.delivery_tag = next_tag_++;
         msg.producer = info.producer;
         msg.seq = info.seq;
@@ -184,24 +194,25 @@ void Broker::requeue(const std::string& queue, std::uint64_t delivery_tag) {
   cv_.notify_all();
 }
 
-void Broker::recover(const std::string& queue) {
-  bool moved = false;
+std::size_t Broker::recover(const std::string& queue) {
+  std::size_t moved = 0;
   {
     util::MutexLock lock(mu_);
     const auto it = queues_.find(queue);
-    if (it == queues_.end()) return;
+    if (it == queues_.end()) return 0;
     QueueState& q = it->second;
     // Highest tag first so the lowest tag ends at the queue front: the
     // redeliveries replay in original order ahead of newer messages.
     for (auto uit = q.unacked.rbegin(); uit != q.unacked.rend(); ++uit) {
       q.messages.push_front(std::move(uit->second));
-      ++stats_.redelivered;
-      moved = true;
+      ++moved;
     }
+    stats_.redelivered += moved;
     q.unacked.clear();
     update_pause(q);
   }
-  if (moved) cv_.notify_all();
+  if (moved > 0) cv_.notify_all();
+  return moved;
 }
 
 std::size_t Broker::depth(const std::string& queue) const {

@@ -126,8 +126,8 @@ class Broker {
 
   /// Requeues every unacked message of a queue, in delivery-tag order at
   /// the queue front (a restarted consumer reclaiming its dead
-  /// predecessor's in-flight deliveries).
-  void recover(const std::string& queue) TACC_EXCLUDES(mu_);
+  /// predecessor's in-flight deliveries). Returns how many it requeued.
+  std::size_t recover(const std::string& queue) TACC_EXCLUDES(mu_);
 
   /// Messages waiting in a queue (excluding unacked in-flight ones).
   std::size_t depth(const std::string& queue) const TACC_EXCLUDES(mu_);

@@ -133,7 +133,9 @@ std::vector<TierStats> AggregationTree::tier_stats() const {
     ++row.aggregators;
     row.spool_records += aggregators_[k]->spool_records();
     row.pending_records += aggregators_[k]->pending_records();
-    row.resilience.merge(aggregators_[k]->stats().resilience);
+    const auto stats = aggregators_[k]->stats();
+    row.crashes += stats.crashes;
+    row.resilience.merge(stats.resilience);
   }
   return out;
 }

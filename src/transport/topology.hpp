@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -63,6 +64,7 @@ struct TierStats {
   std::size_t dead_letters = 0;    // parked in tier DLQs
   std::size_t spool_records = 0;   // records in aggregator/daemon spools
   std::size_t pending_records = 0; // records in open aggregator frames
+  std::uint64_t crashes = 0;       // injected aggregator.crash events
   util::ResilienceStats resilience;
 };
 

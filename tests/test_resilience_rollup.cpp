@@ -165,6 +165,7 @@ TEST(ResilienceRollup, TierStatsSumToClusterResilience) {
   const auto table = monitor.topology_stats();
   EXPECT_NE(table.find("tier"), std::string::npos);
   EXPECT_NE(table.find("paused"), std::string::npos);
+  EXPECT_NE(table.find("crashes"), std::string::npos);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -369,6 +370,89 @@ TEST(AggregationTree, DeliversEveryRecordExactlyOnceInOrder) {
   // records (frames of up to batch_records each).
   EXPECT_LT(tree.root().stats().published, kHosts * kRecs);
   EXPECT_GT(tree.root().stats().published, 0u);
+
+  tree.stop();
+  consumer.stop();
+}
+
+TEST(AggregationTree, CrashRedeliveryIsBoundedByTheInFlightLimit) {
+  // A backlog drained host by host (the daemon spool replay shape) through
+  // one aggregator over 4 leaves, crashing on 2% of its flushes. Each
+  // host's 36 records leave a 4-record frame open after the 8-record
+  // flushes, so without a bound the open frames of every host pile up and
+  // each crash requeues the whole backlog.
+  auto plan = std::make_shared<util::FaultPlan>(20160104);
+  util::FaultSpec agg_crash;
+  agg_crash.error_rate = 0.02;
+  plan->set(std::string(util::kFaultAggregatorCrash), agg_crash);
+
+  transport::TreeOptions opts;
+  opts.leaf_brokers = 4;
+  opts.fanout = 4;
+  opts.batch_records = 8;
+  const std::size_t bound = opts.batch_records * opts.fanout;
+  transport::AggregationTree tree(kQueue, opts, plan);
+  ASSERT_EQ(tree.aggregator_count(), 1u);
+  transport::RawArchive archive;
+  transport::ConsumerOptions copts;
+  copts.dedup_window = 0;
+  transport::Consumer consumer(tree.root(), archive, kQueue, nullptr, copts,
+                               nullptr);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> max_pending{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const std::size_t p = tree.tier_stats()[0].pending_records;
+      if (p > max_pending.load()) max_pending.store(p);
+      std::this_thread::yield();
+    }
+  });
+
+  constexpr std::size_t kHosts = 128;
+  constexpr std::uint64_t kRecs = 36;
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    const std::string host = "n" + std::to_string(h);
+    const std::string header = make_synth_log(host).serialize_header();
+    for (std::uint64_t i = 0; i < kRecs; ++i) {
+      const auto rec =
+          make_synth_record(kStart + i * util::kMinute, h * 1000 + i);
+      transport::PublishInfo info;
+      info.producer = host;
+      info.seq = i + 1;
+      info.now = rec.time;
+      ASSERT_EQ(tree.leaf_for(host).publish(
+                    "stats." + host,
+                    header + collect::HostLog::serialize_record(rec), info),
+                1u);
+    }
+  }
+  tree.quiesce();
+  consumer.drain();
+  done.store(true);
+  sampler.join();
+
+  // Exactly once, in per-host order, despite the crashes.
+  EXPECT_EQ(archive.total_records(), kHosts * kRecs);
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    const std::string host = "n" + std::to_string(h);
+    ASSERT_EQ(archive.seen_count(host), kRecs) << host;
+    const auto log = archive.log(host);
+    ASSERT_EQ(log.records.size(), kRecs) << host;
+    for (std::uint64_t i = 0; i < kRecs; ++i) {
+      EXPECT_EQ(log.records[i].blocks.at(0).values.at(0), h * 1000 + i);
+    }
+  }
+
+  // Bounded in-flight state, hence bounded redelivery per crash: the open
+  // frames' deliveries plus the one in hand (at most one more frame).
+  const auto rows = tree.tier_stats();
+  std::uint64_t crashes = 0;
+  for (const auto& row : rows) crashes += row.crashes;
+  const auto requeued = tree.resilience().requeued;
+  EXPECT_GT(crashes, 0u) << "no aggregator crash ever fired";
+  EXPECT_LE(max_pending.load(), bound);
+  EXPECT_LE(requeued, crashes * (bound + opts.batch_records));
 
   tree.stop();
   consumer.stop();
