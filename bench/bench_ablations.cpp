@@ -3,8 +3,9 @@
 //  A1. Wraparound correction. RAPL energy-status registers are 32 bits and
 //      wrap every ~10-20 minutes at server power draws. The pipeline
 //      corrects deltas modulo 2^width per interval; ablating the width
-//      metadata (treating the counter as 64-bit) makes energy metrics
-//      collapse to garbage at the production sampling cadence.
+//      metadata (treating the counter as 64-bit) makes every wrapped
+//      interval read as a counter reset, which contributes nothing, so
+//      energy metrics lose every interval that spans a wrap.
 //  A2. Per-interval vs endpoint-only deltas. For narrow counters the ARC
 //      must accumulate wrap-corrected per-interval deltas; computing the
 //      job delta from the first and last records alone loses every full
@@ -81,8 +82,7 @@ void report() {
          bench::num(full.PkgWatts, 4), "-", "reference"});
   t.row({"A1: width metadata ablated (W=64)",
          bench::num(no_width.PkgWatts, 4), err(no_width.PkgWatts),
-         "wrapped intervals underflow to ~2^64 and are clamped into "
-         "nonsense"});
+         "wrapped intervals read as 64-bit resets and add nothing"});
   t.row({"A2: endpoint-only delta",
          bench::num(endpoints.PkgWatts, 4), err(endpoints.PkgWatts),
          "full wraps between the endpoints are lost"});

@@ -77,12 +77,4 @@ Schema Schema::parse(std::string_view line) {
   return s;
 }
 
-std::uint64_t wrap_delta(std::uint64_t prev, std::uint64_t curr,
-                         int width_bits) noexcept {
-  if (width_bits >= 64) return curr - prev;  // unsigned wrap is correct
-  const std::uint64_t modulus = 1ULL << width_bits;
-  const std::uint64_t mask = modulus - 1;
-  return (curr - prev) & mask;
-}
-
 }  // namespace tacc::collect

@@ -8,13 +8,12 @@
 //
 // Per-key properties:
 //   E        cumulative event counter (deltas are meaningful); absent = gauge
-//   W=<bits> hardware counter width, for wraparound correction (default 64)
+//   W=<bits> hardware counter width for util::counter_delta (default 64)
 //   U=<unit> unit label (documentation + portal display)
 //   S=<x>    scale: canonical value = raw * x (e.g. IB data words -> bytes,
 //            RAPL register units -> microjoules)
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -55,10 +54,5 @@ class Schema {
   std::string type_;
   std::vector<SchemaEntry> entries_;
 };
-
-/// Applies wraparound correction: the delta from `prev` to `curr` for a
-/// counter of the given width, assuming at most one wrap between samples.
-std::uint64_t wrap_delta(std::uint64_t prev, std::uint64_t curr,
-                         int width_bits) noexcept;
 
 }  // namespace tacc::collect

@@ -3,6 +3,10 @@
 // interval rates are computed immediately and compared against thresholds;
 // problem jobs are reported to the administrator — and recommended for
 // suspension — before they can slow down or crash the shared filesystem.
+//
+// The rules are the batch flag rules (pipeline::flag_rules()) with an
+// online scope, judged against the default pipeline::FlagThresholds; counter
+// increases come from util::counter_delta, per device, then summed.
 #pragma once
 
 #include <map>
@@ -11,52 +15,57 @@
 #include <vector>
 
 #include "collect/rawfile.hpp"
+#include "pipeline/flags.hpp"
 #include "util/clock.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace tacc::core {
-
-struct OnlineThresholds {
-  double mdc_reqs_ps = 20000.0;  // per node: metadata storm
-  double gige_bytes_ps = 1.0e6;  // per node: MPI over Ethernet
-  double mem_fraction = 0.95;    // near-OOM
-};
 
 struct Alert {
   util::SimTime time = 0;
   std::string hostname;
   std::vector<long> jobids;
   std::string rule;    // "metadata_storm", "gige_traffic", "memory_pressure"
-  double value = 0.0;  // the offending rate/fraction
+  double value = 0.0;  // the offending value, in the threshold's unit
 };
 
 class OnlineAnalyzer {
  public:
-  explicit OnlineAnalyzer(OnlineThresholds thresholds = {})
-      : thresholds_(thresholds) {}
-
   /// Consumer callback: analyze a freshly arrived self-describing chunk.
   /// Thread-safe (the consumer calls from its own thread).
   void on_chunk(const std::string& hostname, const collect::HostLog& chunk)
       TACC_EXCLUDES(mu_);
 
   std::vector<Alert> alerts() const TACC_EXCLUDES(mu_);
-  /// Jobs recommended for suspension (any job that triggered a
-  /// metadata-storm alert).
+  /// Jobs recommended for suspension (any job that triggered an alert of a
+  /// suspending rule: the metadata storm).
   std::set<long> suspend_candidates() const TACC_EXCLUDES(mu_);
   std::size_t records_analyzed() const TACC_EXCLUDES(mu_);
 
  private:
+  /// A rule's online scope resolved once against a host's schemas: the
+  /// value index, width and scale of each of its keys.
+  struct Key {
+    std::size_t index;
+    int width_bits;
+    double scale;
+  };
+  struct Probe {
+    const pipeline::FlagRule* rule;
+    std::vector<Key> keys;
+  };
   struct HostState {
     collect::Record last;
-    std::vector<collect::Schema> schemas;
+    std::vector<Probe> probes;
   };
-  /// Summed value of (type, key) over devices in a record; -1 if absent.
-  static double block_sum(const std::vector<collect::Schema>& schemas,
-                          const collect::Record& record,
-                          const std::string& type, const std::string& key);
+  /// The probes of every online rule whose type and keys the host carries.
+  static std::vector<Probe> resolve(
+      const std::vector<collect::Schema>& schemas);
+  /// The probe's value over the interval prev -> curr of `dt` seconds.
+  static double measure(const Probe& probe, const collect::Record& prev,
+                        const collect::Record& curr, double dt);
 
-  OnlineThresholds thresholds_;
+  const pipeline::FlagThresholds thresholds_{};
   mutable util::Mutex mu_;
   std::map<std::string, HostState> hosts_ TACC_GUARDED_BY(mu_);
   std::vector<Alert> alerts_ TACC_GUARDED_BY(mu_);

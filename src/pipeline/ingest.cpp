@@ -159,6 +159,10 @@ void stage_block(Stage& stage, std::string_view host,
                     {"type", std::string(type)},
                     {"device", std::string(device)},
                     {"event", event}};
+      // The counter width a rate query needs to tell a wrap from a reset.
+      if (const int width = schema.entry(i).width_bits; width < 64) {
+        batch.tags.emplace("width", std::to_string(width));
+      }
       b = static_cast<std::uint32_t>(stage.batches.size());
       stage.batches.push_back(std::move(batch));
       slots[i] = b;

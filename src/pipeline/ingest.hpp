@@ -94,7 +94,8 @@ struct TsdbIngestStats {
 /// Loads every host's raw counter stream from the archive into the
 /// time-series store: one series per (schema type, device, event) per
 /// host — the paper's OpenTSDB tag tuple — with the metric named
-/// <prefix>.<type>.<event> and tags {host, type, device, event}. Values of
+/// <prefix>.<type>.<event> and tags {host, type, device, event}, plus
+/// {width} for counters narrower than 64 bits (what Query::rate reads). Values of
 /// the same event across a host's devices stay separate series, so any
 /// tag subset can still be aggregated at query time.
 ///

@@ -1,9 +1,11 @@
 #include "pipeline/metrics.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <optional>
 
 #include "simhw/arch.hpp"
+#include "util/counter.hpp"
 #include "util/stats.hpp"
 
 namespace tacc::pipeline {
@@ -58,9 +60,9 @@ class HostExtract {
     return nullptr;
   }
 
-  /// Per-interval delta of (type, key) summed over devices, wrap-corrected
-  /// per device and scaled to canonical units. nullopt if the type or key
-  /// is absent on this host.
+  /// Per-interval delta of (type, key) summed over devices, taken per
+  /// device by util::counter_delta (a reset interval adds 0) and scaled to
+  /// canonical units. nullopt if the type or key is absent on this host.
   std::optional<std::vector<double>> interval_deltas(
       const std::string& type, const std::string& key) const {
     const collect::Schema* sch = schema(type);
@@ -74,9 +76,9 @@ class HostExtract {
     for (const auto& [device, values] : tit->second) {
       for (std::size_t i = 0; i + 1 < values.size(); ++i) {
         if (values[i].empty() || values[i + 1].empty()) continue;
-        const std::uint64_t delta = collect::wrap_delta(
+        const auto delta = util::counter_delta(
             values[i][*idx], values[i + 1][*idx], entry.width_bits);
-        out[i] += static_cast<double>(delta) * entry.scale;
+        out[i] += static_cast<double>(delta.value_or(0)) * entry.scale;
       }
     }
     return out;
@@ -155,17 +157,20 @@ double mean_of(const std::vector<double>& xs) {
   return util::mean(std::span<const double>(xs.data(), xs.size()));
 }
 
-/// Average-rate metric: per-host rate (optionally per device), averaged
-/// over hosts. NaN if no host carries the counter.
-double avg_rate(const std::vector<HostExtract>& hosts,
-                const std::string& type, const std::string& key,
-                bool per_device = false) {
+/// Average-rate metric: per-host rate of the keys' sum, averaged over the
+/// hosts that carry every key. NaN if none does.
+double avg_rate(const std::vector<HostExtract>& hosts, const std::string& type,
+                std::initializer_list<const char*> keys) {
   std::vector<double> rates;
   for (const auto& h : hosts) {
-    auto r = h.rate(type, key);
-    if (!r) continue;
-    const int nd = per_device ? std::max(1, h.num_devices(type)) : 1;
-    rates.push_back(*r / nd);
+    double sum = 0.0;
+    bool all = true;
+    for (const char* key : keys) {
+      const auto r = h.rate(type, key);
+      all = all && r;
+      sum += r.value_or(0.0);
+    }
+    if (all) rates.push_back(sum);
   }
   return rates.empty() ? nan("") : mean_of(rates);
 }
@@ -199,69 +204,45 @@ double max_rate(const std::vector<HostExtract>& hosts,
   return any ? best : nan("");
 }
 
-/// Sum of two optional rates with NaN propagation rules of avg_rate.
-double avg_rate2(const std::vector<HostExtract>& hosts,
-                 const std::string& type, const std::string& key1,
-                 const std::string& key2, bool per_device = false) {
-  std::vector<double> rates;
-  for (const auto& h : hosts) {
-    const auto a = h.rate(type, key1);
-    const auto b = h.rate(type, key2);
-    if (!a || !b) continue;
-    const int nd = per_device ? std::max(1, h.num_devices(type)) : 1;
-    rates.push_back((*a + *b) / nd);
-  }
-  return rates.empty() ? nan("") : mean_of(rates);
-}
+using M = JobMetrics;
+constexpr std::pair<const char*, double M::*> kFields[] = {
+    {"MetaDataRate", &M::MetaDataRate}, {"MDCReqs", &M::MDCReqs},
+    {"OSCReqs", &M::OSCReqs}, {"MDCWait", &M::MDCWait},
+    {"OSCWait", &M::OSCWait}, {"LLiteOpenClose", &M::LLiteOpenClose},
+    {"LnetAveBW", &M::LnetAveBW}, {"LnetMaxBW", &M::LnetMaxBW},
+    {"InternodeIBAveBW", &M::InternodeIBAveBW},
+    {"InternodeIBMaxBW", &M::InternodeIBMaxBW}, {"Packetsize", &M::Packetsize},
+    {"Packetrate", &M::Packetrate}, {"GigEBW", &M::GigEBW},
+    {"Load_All", &M::Load_All}, {"Load_L1Hits", &M::Load_L1Hits},
+    {"Load_L2Hits", &M::Load_L2Hits}, {"Load_LLCHits", &M::Load_LLCHits},
+    {"cpi", &M::cpi}, {"cpld", &M::cpld}, {"flops", &M::flops},
+    {"VecPercent", &M::VecPercent}, {"mbw", &M::mbw},
+    {"PkgWatts", &M::PkgWatts}, {"CoreWatts", &M::CoreWatts},
+    {"DramWatts", &M::DramWatts}, {"MemUsage", &M::MemUsage},
+    {"MemHWM", &M::MemHWM}, {"CPU_Usage", &M::CPU_Usage}, {"idle", &M::idle},
+    {"catastrophe", &M::catastrophe}, {"RampUp", &M::RampUp},
+    {"TailDrop", &M::TailDrop}, {"MIC_Usage", &M::MIC_Usage},
+};
 
 }  // namespace
 
+std::span<const std::pair<const char*, double M::*>> JobMetrics::fields() {
+  return kFields;
+}
+
 const std::vector<std::string>& JobMetrics::labels() {
-  static const std::vector<std::string> all = {
-      "MetaDataRate", "MDCReqs", "OSCReqs", "MDCWait", "OSCWait",
-      "LLiteOpenClose", "LnetAveBW", "LnetMaxBW", "InternodeIBAveBW",
-      "InternodeIBMaxBW", "Packetsize", "Packetrate", "GigEBW", "Load_All",
-      "Load_L1Hits", "Load_L2Hits", "Load_LLCHits", "cpi", "cpld", "flops",
-      "VecPercent", "mbw", "PkgWatts", "CoreWatts", "DramWatts", "MemUsage",
-      "MemHWM", "CPU_Usage", "idle", "catastrophe", "RampUp", "TailDrop",
-      "MIC_Usage"};
+  static const std::vector<std::string> all = [] {
+    std::vector<std::string> out;
+    for (const auto& field : kFields) out.emplace_back(field.first);
+    return out;
+  }();
   return all;
 }
 
 std::map<std::string, double> JobMetrics::as_map() const {
-  return {{"MetaDataRate", MetaDataRate},
-          {"MDCReqs", MDCReqs},
-          {"OSCReqs", OSCReqs},
-          {"MDCWait", MDCWait},
-          {"OSCWait", OSCWait},
-          {"LLiteOpenClose", LLiteOpenClose},
-          {"LnetAveBW", LnetAveBW},
-          {"LnetMaxBW", LnetMaxBW},
-          {"InternodeIBAveBW", InternodeIBAveBW},
-          {"InternodeIBMaxBW", InternodeIBMaxBW},
-          {"Packetsize", Packetsize},
-          {"Packetrate", Packetrate},
-          {"GigEBW", GigEBW},
-          {"Load_All", Load_All},
-          {"Load_L1Hits", Load_L1Hits},
-          {"Load_L2Hits", Load_L2Hits},
-          {"Load_LLCHits", Load_LLCHits},
-          {"cpi", cpi},
-          {"cpld", cpld},
-          {"flops", flops},
-          {"VecPercent", VecPercent},
-          {"mbw", mbw},
-          {"PkgWatts", PkgWatts},
-          {"CoreWatts", CoreWatts},
-          {"DramWatts", DramWatts},
-          {"MemUsage", MemUsage},
-          {"MemHWM", MemHWM},
-          {"CPU_Usage", CPU_Usage},
-          {"idle", idle},
-          {"catastrophe", catastrophe},
-          {"RampUp", RampUp},
-          {"TailDrop", TailDrop},
-          {"MIC_Usage", MIC_Usage}};
+  std::map<std::string, double> out;
+  for (const auto& [label, field] : kFields) out.emplace(label, this->*field);
+  return out;
 }
 
 JobMetrics compute_metrics(const JobData& data) {
@@ -278,8 +259,8 @@ JobMetrics compute_metrics(const JobData& data) {
 
   // ---- Lustre ---------------------------------------------------------
   m.MetaDataRate = max_rate(hosts, "mdc", "reqs");
-  m.MDCReqs = avg_rate(hosts, "mdc", "reqs");
-  m.OSCReqs = avg_rate(hosts, "osc", "reqs");
+  m.MDCReqs = avg_rate(hosts, "mdc", {"reqs"});
+  m.OSCReqs = avg_rate(hosts, "osc", {"reqs"});
   // Wait metrics: average time per request = wait rate / request rate.
   {
     std::vector<double> mdw, osw;
@@ -294,9 +275,9 @@ JobMetrics compute_metrics(const JobData& data) {
     if (!mdw.empty()) m.MDCWait = mean_of(mdw);
     if (!osw.empty()) m.OSCWait = mean_of(osw);
   }
-  m.LLiteOpenClose = avg_rate2(hosts, "llite", "open", "close");
+  m.LLiteOpenClose = avg_rate(hosts, "llite", {"open", "close"});
   {
-    const double ave = avg_rate2(hosts, "lnet", "tx_bytes", "rx_bytes");
+    const double ave = avg_rate(hosts, "lnet", {"tx_bytes", "rx_bytes"});
     m.LnetAveBW = std::isnan(ave) ? ave : ave / kMB;
     const double tx = max_rate(hosts, "lnet", "tx_bytes");
     const double rx = max_rate(hosts, "lnet", "rx_bytes");
@@ -344,7 +325,7 @@ JobMetrics compute_metrics(const JobData& data) {
     if (nr > 0) m.Packetrate = rate_sum / nr;
   }
   {
-    const double giga = avg_rate2(hosts, "net", "rx_bytes", "tx_bytes");
+    const double giga = avg_rate(hosts, "net", {"rx_bytes", "tx_bytes"});
     m.GigEBW = std::isnan(giga) ? giga : giga / kMB;
   }
 
@@ -390,9 +371,9 @@ JobMetrics compute_metrics(const JobData& data) {
   // ---- Energy ---------------------------------------------------------
   {
     // rapl values are scaled to microjoules; rate is uJ/s -> W / 1e6.
-    const double pkg = avg_rate(hosts, "rapl", "energy_pkg");
-    const double pp0 = avg_rate(hosts, "rapl", "energy_cores");
-    const double dram = avg_rate(hosts, "rapl", "energy_dram");
+    const double pkg = avg_rate(hosts, "rapl", {"energy_pkg"});
+    const double pp0 = avg_rate(hosts, "rapl", {"energy_cores"});
+    const double dram = avg_rate(hosts, "rapl", {"energy_dram"});
     if (!std::isnan(pkg)) m.PkgWatts = pkg / 1e6;
     if (!std::isnan(pp0)) m.CoreWatts = pp0 / 1e6;
     if (!std::isnan(dram)) m.DramWatts = dram / 1e6;

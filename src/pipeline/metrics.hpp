@@ -3,10 +3,11 @@
 //
 // Two metric families (section IV-A):
 //  * "Average" metrics are Average Rates of Change: the relevant counter's
-//    delta is accumulated over the job's lifetime on each node (with
-//    per-interval wraparound correction for narrow hardware counters),
-//    divided by elapsed time, then averaged over nodes. Because the
-//    counters are cumulative this is insensitive to the sampling interval.
+//    delta is accumulated over the job's lifetime on each node (per
+//    interval by util::counter_delta: narrow hardware counters are
+//    wrap-corrected, an interval spanning a reset adds 0), divided by
+//    elapsed time, then averaged over nodes. Because the counters are
+//    cumulative this is insensitive to the sampling interval.
 //  * "Maximum" metrics take per-interval deltas, sum them across nodes per
 //    interval, and report the maximum interval rate — an approximation to
 //    the peak instantaneous rate.
@@ -21,7 +22,9 @@
 
 #include <cmath>
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pipeline/jobmap.hpp"
@@ -75,6 +78,10 @@ struct JobMetrics {
 
   /// The metrics as (Table I label -> value) for DB ingest / display.
   std::map<std::string, double> as_map() const;
+
+  /// Every metric as (Table I label, member), in labels() order.
+  static std::span<const std::pair<const char*, double JobMetrics::*>>
+  fields();
 
   /// Ordered Table I labels (Lustre, Network, Processor, Energy, OS).
   static const std::vector<std::string>& labels();

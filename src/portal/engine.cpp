@@ -146,6 +146,17 @@ EngineEpoch QueryEngine::current_epoch() const noexcept {
   return e;
 }
 
+EngineEpoch QueryEngine::scoped(const EngineEpoch& epoch,
+                                QueryRequest::Kind kind) {
+  EngineEpoch e = epoch;
+  if (kind == QueryRequest::Kind::Timeseries) {
+    e.jobs_rows = e.manual = 0;
+  } else {
+    e.store = 0;
+  }
+  return e;
+}
+
 void QueryEngine::invalidate_jobs() noexcept {
   manual_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -234,7 +245,7 @@ QueryResult QueryEngine::execute(const QueryRequest& request) {
 QueryResult QueryEngine::run_admitted(const QueryRequest& request) {
   if (options_.before_execute) options_.before_execute();
   const auto t0 = SteadyClock::now();
-  const EngineEpoch epoch = current_epoch();
+  const EngineEpoch epoch = scoped(current_epoch(), request.kind);
   const Deadline deadline = Deadline::after(
       request.deadline_ns >= 0 ? request.deadline_ns
       : options_.default_deadline_ns > 0 ? options_.default_deadline_ns
@@ -432,7 +443,7 @@ std::optional<std::string> QueryEngine::cache_lookup(const std::string& key,
   const auto it = cache_index_.find(key);
   if (it == cache_index_.end()) return std::nullopt;
   if (!(it->second->second.epoch == epoch)) {
-    // Stale: the store or jobs table moved since this was cached.
+    // Stale: what this result read moved since it was cached.
     lru_.erase(it->second);
     cache_index_.erase(it);
     cache_evictions_.fetch_add(1, std::memory_order_relaxed);

@@ -20,10 +20,13 @@
 //        latency histogram (util::LatencyHistogram) are updated either way.
 //
 // Invalidation: the engine epoch is the triple (tsdb ingest epoch, jobs
-// row count, manual bump). tsdb::Store bumps its epoch on every
-// put/put_batch/put_batches/seal_all, so cached results are dropped —
-// lazily, at lookup — the moment new points land. Mutating the jobs table
-// in place (same row count) requires an invalidate_jobs() call.
+// row count, manual bump), and each result is validated against the part
+// its kind reads. Timeseries results read only the store: tsdb::Store
+// bumps its epoch on every put/put_batch/put_batches/seal_all, so they are
+// dropped — lazily, at lookup — the moment new points land. Every other
+// kind (and the Fig. 4 summaries) reads only the jobs table, so live tsdb
+// ingest leaves it cached. Mutating the jobs table in place (same row
+// count) requires an invalidate_jobs() call.
 //
 // Fig. 4 histograms are answered from materialized per-job summaries: a
 // per-epoch snapshot of the four panel columns as flat arrays, rebuilt
@@ -154,8 +157,9 @@ struct EngineStats {
   bool operator==(const EngineStats&) const noexcept = default;
 };
 
-/// The engine epoch: cached results are valid only while all three
-/// components are unchanged.
+/// The engine epoch: a cached result is valid only while the components
+/// its request kind reads are unchanged — the store part for Timeseries,
+/// the jobs parts for every other kind.
 struct EngineEpoch {
   std::uint64_t store = 0;      // tsdb::Store::ingest_epoch()
   std::uint64_t jobs_rows = 0;  // jobs-table row count
@@ -217,6 +221,8 @@ class QueryEngine {
     std::string payload;
   };
 
+  /// `epoch` with the parts a `kind` result does not read zeroed.
+  static EngineEpoch scoped(const EngineEpoch& epoch, QueryRequest::Kind kind);
   /// Runs one admitted request end to end (cache lookup, execution,
   /// cache fill, accounting). Called on a worker (submit) or the caller
   /// (execute).
@@ -233,8 +239,8 @@ class QueryEngine {
   void cache_insert(const std::string& key, const EngineEpoch& epoch,
                     const std::string& payload) TACC_EXCLUDES(cache_mu_);
 
-  /// Returns the materialized Fig. 4 summaries for `epoch`, rebuilding
-  /// them if the epoch moved.
+  /// Returns the materialized Fig. 4 summaries for `epoch` (jobs parts
+  /// only), rebuilding them if it moved.
   std::shared_ptr<const Summaries> summaries_for(const EngineEpoch& epoch)
       TACC_EXCLUDES(summaries_mu_);
 

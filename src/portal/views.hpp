@@ -73,8 +73,11 @@ std::string process_view(const pipeline::JobData& data,
                          std::size_t limit = 40);
 
 /// The threshold-comparison report of the detail page ("which of the
-/// computed metrics passed or failed comparison tests"): every flag rule
-/// with its threshold, the job's value, and PASS/FAIL.
+/// computed metrics passed or failed comparison tests"): every batch rule
+/// of pipeline::flag_rules() with its threshold, the job's value, and
+/// PASS/FAIL exactly as evaluate_flags judges it — n/a when the metric is
+/// absent or the rule's guard does not hold. The largemem rule is listed
+/// only for largemem-queue jobs.
 std::string threshold_report(const db::Table& jobs, db::RowId row,
                              const pipeline::FlagThresholds& thresholds = {});
 

@@ -9,6 +9,8 @@
 #include <tuple>
 #include <utility>
 
+#include "util/counter.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tacc::tsdb {
@@ -1017,8 +1019,19 @@ void Store::process_series(const Query& q, Partial& p) {
       for (std::size_t i = 1; i < pts.size(); ++i) {
         const double dt = util::to_seconds(pts[i].time - pts[i - 1].time);
         if (dt <= 0.0) continue;
-        const double delta = pts[i].value - pts[i - 1].value;
-        rates.push_back({pts[i].time, delta > 0.0 ? delta / dt : 0.0});
+        // A rise is the plain difference (what util::counter_delta gives
+        // for whole readings); a fall is a wrap or a reset, which it tells
+        // apart. A NaN or negative reading adds nothing.
+        const double prev = pts[i - 1].value, curr = pts[i].value;
+        double delta = curr > prev ? curr - prev : 0.0;
+        if (curr < prev && curr >= 0.0 && prev < 0x1p64) {
+          delta = static_cast<double>(
+              util::counter_delta(static_cast<std::uint64_t>(prev),
+                                  static_cast<std::uint64_t>(curr),
+                                  p.width_bits)
+                  .value_or(0));
+        }
+        rates.push_back({pts[i].time, delta / dt});
       }
       pts = std::move(rates);
     }
@@ -1144,16 +1157,19 @@ std::vector<SeriesResult> Store::query_impl(const Query& q,
       const auto mit = shard.metrics.find(q.metric);
       if (mit == shard.metrics.end()) return;
       for (const auto& [key, series] : mit->second) {
-        // Tag filters.
+        // The series' value of tag `k` (sorted tags), or nullptr.
+        const auto tag = [&tags = series.tags](std::string_view k) {
+          const auto it = std::lower_bound(
+              tags.begin(), tags.end(), k,
+              [](const auto& t, std::string_view want) {
+                return t.first < want;
+              });
+          return it == tags.end() || it->first != k ? nullptr : &it->second;
+        };
         bool ok = true;
         for (const auto& [fk, fv] : q.filters) {
-          const auto it = std::lower_bound(
-              series.tags.begin(), series.tags.end(), fk,
-              [](const auto& tag, const std::string& k) {
-                return tag.first < k;
-              });
-          if (it == series.tags.end() || it->first != fk ||
-              it->second != fv) {
+          const auto* v = tag(fk);
+          if (v == nullptr || *v != fv) {
             ok = false;
             break;
           }
@@ -1163,14 +1179,11 @@ std::vector<SeriesResult> Store::query_impl(const Query& q,
         Partial p;
         p.series_key = key;
         for (const auto& g : q.group_by) {
-          const auto it = std::lower_bound(
-              series.tags.begin(), series.tags.end(), g,
-              [](const auto& tag, const std::string& k) {
-                return tag.first < k;
-              });
-          p.group_tags[g] = it == series.tags.end() || it->first != g
-                                ? std::string{}
-                                : std::string(it->second);
+          const auto* v = tag(g);
+          p.group_tags[g] = v == nullptr ? std::string{} : std::string(*v);
+        }
+        if (const auto* w = tag("width")) {
+          p.width_bits = static_cast<int>(util::parse_i64(*w).value_or(64));
         }
         p.blocks = series.blocks;
         p.head = series.head;

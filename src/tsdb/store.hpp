@@ -77,8 +77,11 @@ struct Query {
   std::string metric;
   /// Convert each matched series from cumulative counts to per-second
   /// rates (successive-point deltas / dt) before downsampling — OpenTSDB's
-  /// rate() for the monotonic counters this system stores. Negative deltas
-  /// (counter resets) clamp to 0.
+  /// rate() for the counters this system stores. Each delta follows
+  /// util::counter_delta at the series' counter width — its "width" tag
+  /// (pipeline ingest tags every counter narrower than 64 bits), else 64:
+  /// a narrow counter's wrap reads as its true increase, and a 64-bit
+  /// counter that went backwards (a reset) contributes 0.
   bool rate = false;
   /// Exact-match tag filters; series missing a filtered tag don't match.
   TagSet filters;
@@ -374,6 +377,7 @@ class Store {
     std::vector<std::shared_ptr<const SealedBlock>> blocks;
     std::vector<DataPoint> head;
     bool head_sorted = true;
+    int width_bits = 64;  // counter width for rate(): the "width" tag
     std::vector<std::pair<util::SimTime, double>> downsampled;
   };
 

@@ -206,6 +206,39 @@ TEST(EngineEpochTest, JobsRowCountAndManualBumpInvalidate) {
   EXPECT_NE(fresh.payload.find("dave"), std::string::npos);
 }
 
+TEST(EngineEpochTest, StoreIngestKeepsJobsResultsCached) {
+  db::Database database;
+  auto& jobs = populated_jobs(database);
+  tsdb::Store store;
+  QueryEngine engine(jobs, &store);
+
+  QueryRequest ts;
+  ts.kind = QueryRequest::Kind::Timeseries;
+  ts.ts.metric = "llite.open";
+  ASSERT_EQ(engine.execute(search_request("alice")).status, QueryStatus::Ok);
+  ASSERT_EQ(engine.execute(histogram_request()).status, QueryStatus::Ok);
+  ASSERT_EQ(engine.execute(ts).status, QueryStatus::Ok);
+  const auto before = engine.stats();
+  EXPECT_EQ(before.summary_rebuilds, 1u);
+
+  const std::vector<tsdb::DataPoint> pts = {{0, 1.0}, {10, 2.0}};
+  store.put_batch("llite.open", {{"host", "c401-001"}}, pts);
+
+  // Search and histograms read only the jobs table: still hits.
+  EXPECT_TRUE(engine.execute(search_request("alice")).cached);
+  EXPECT_TRUE(engine.execute(histogram_request()).cached);
+  // A histogram not cached yet reuses the summaries built before ingest.
+  auto bins = histogram_request();
+  bins.bins = 7;
+  EXPECT_FALSE(engine.execute(bins).cached);
+  EXPECT_EQ(engine.stats().summary_rebuilds, before.summary_rebuilds);
+  // The series result read the store: evicted.
+  const auto fresh = engine.execute(ts);
+  EXPECT_FALSE(fresh.cached);
+  EXPECT_NE(fresh.payload.find("points=2"), std::string::npos);
+  EXPECT_EQ(engine.stats().cache_evictions, before.cache_evictions + 1);
+}
+
 TEST(EngineDeadline, ExpiredDeadlineIsCleanTimeout) {
   db::Database database;
   auto& jobs = populated_jobs(database);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "collect/schema.hpp"
+#include "util/counter.hpp"
 #include "util/rng.hpp"
 
 namespace tacc::collect {
@@ -77,25 +78,25 @@ TEST(Schema, RandomRoundTripProperty) {
 }
 
 TEST(WrapDelta, FullWidthUsesUnsignedWrap) {
-  EXPECT_EQ(wrap_delta(10, 15, 64), 5u);
-  EXPECT_EQ(wrap_delta(~0ULL, 4, 64), 5u);
+  EXPECT_EQ(util::counter_delta(10, 15, 64), 5u);
+  EXPECT_EQ(util::counter_delta(~0ULL, 4, 64), 5u);
 }
 
 TEST(WrapDelta, NarrowCounterSingleWrap) {
   // 32-bit counter wrapped once: prev near top, curr near bottom.
   const std::uint64_t top = (1ULL << 32) - 10;
-  EXPECT_EQ(wrap_delta(top, 5, 32), 15u);
+  EXPECT_EQ(util::counter_delta(top, 5, 32), 15u);
 }
 
 TEST(WrapDelta, NoWrapNarrow) {
-  EXPECT_EQ(wrap_delta(100, 250, 32), 150u);
-  EXPECT_EQ(wrap_delta(100, 100, 32), 0u);
+  EXPECT_EQ(util::counter_delta(100, 250, 32), 150u);
+  EXPECT_EQ(util::counter_delta(100, 100, 32), 0u);
 }
 
 TEST(WrapDelta, FortyEightBit) {
   const std::uint64_t top = (1ULL << 48) - 1;
-  EXPECT_EQ(wrap_delta(top, 0, 48), 1u);
-  EXPECT_EQ(wrap_delta(0, top, 48), top);
+  EXPECT_EQ(util::counter_delta(top, 0, 48), 1u);
+  EXPECT_EQ(util::counter_delta(0, top, 48), top);
 }
 
 TEST(WrapDelta, PropertyDeltaRecoversIncrement) {
@@ -109,7 +110,7 @@ TEST(WrapDelta, PropertyDeltaRecoversIncrement) {
         static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)) %
         modulus;  // less than one full wrap
     const std::uint64_t end = (start + inc) % modulus;
-    EXPECT_EQ(wrap_delta(start, end, width), inc);
+    EXPECT_EQ(util::counter_delta(start, end, width), inc);
   }
 }
 

@@ -219,6 +219,7 @@ class Linter:
         ("src/transport/topology.hpp", "TreeOptions"),
         ("src/transport/aggregator.hpp", "AggregatorOptions"),
         ("src/portal/engine.hpp", "QueryEngineOptions"),
+        ("src/pipeline/flags.hpp", "FlagThresholds"),
     )
 
     @staticmethod
